@@ -10,12 +10,15 @@ all-to-all embedding exchange each batch pays, and a pluggable
 
 Every node is one :class:`~repro.serving.engine.EngineCore` — the same
 kernel the single-node :class:`~repro.serving.simulator.ServingSimulator`
-wraps — driven off one shared :class:`~repro.serving.engine.EventLoop`.
-This module owns only what is cluster-specific: routing and edge
-admission (backpressure, shard coverage), the per-batch exchange pricing
-hook, failure injection, and fleet-level accounting.  Batching,
-shedding, and energy apportionment live in :mod:`repro.serving.engine`,
-in exactly one place.
+wraps — driven by :func:`~repro.serving.engine.run_kernel`, whose
+``admit(query, now, loop)`` hook is the cluster's router.  This module
+owns only what is cluster-specific: routing and edge admission
+(backpressure, shard coverage), the per-batch exchange pricing hook,
+failure injection, and fleet-level accounting.  That accounting —
+re-injection, the ``rerouted`` / ``lost`` / ``edge_drops`` counts, wasted
+energy, node-seconds — lives in one :class:`FleetLedger`, which the
+region tier (:mod:`repro.serving.region`) drives too.  Batching,
+shedding, and energy apportionment live in :mod:`repro.serving.engine`.
 
 The data/locality model (:class:`ShardMap`):
 
@@ -593,6 +596,15 @@ class ClusterSimulator:
             )
         return cores
 
+    def _run_state(self, k: int) -> "_RunState":
+        """Fresh per-run state for a ``k``-member epoch: the first ``k``
+        nodes are members, routed by a freshly reset router."""
+        state = _RunState(
+            self._epoch(k)[1], list(range(self.node_base, self.node_base + k))
+        )
+        state.install_router(self._router_spec, self.link)
+        return state
+
     def _epoch(self, k: int) -> tuple[ShardingPlan, ShardMap]:
         """The (plan, shard map) pair governing a ``k``-member epoch.
 
@@ -624,11 +636,7 @@ class ClusterSimulator:
             else self.autoscale.clone() if self.autoscale else None
         )
         k0 = controller.initial_nodes if controller else n_total
-        state = _RunState(self._epoch(k0)[1], list(range(k0)))
-        state.router = make_router(
-            self._router_spec, shard_map=state.shard_map, link=self.link
-        )
-        state.router.reset()
+        state = self._run_state(k0)
         cluster = ClusterResult(
             result=sink.result,
             n_nodes=n_total,
@@ -638,14 +646,7 @@ class ClusterSimulator:
             per_node_dropped=[0] * n_total,
         )
         coverage_ok = True
-        # Indices of displaced/drained queries awaiting re-admission; a
-        # query only counts as rerouted once a surviving node accepts it
-        # (a re-injection shed at the edge is an edge drop, not a reroute).
-        reinjected: set[int] = set()
-        # Fleet accounting: when each member last became active, and the
-        # per-node active seconds accumulated by completed drains.
-        activated_at: dict[int, float] = {node: 0.0 for node in state.members}
-        active_seconds: dict[int, float] = {}
+        ledger = FleetLedger(cluster, sink, scenario, state.members)
         # One scale operation at a time: a join's warm window must finish
         # before the next operation may start, which is what keeps
         # membership a prefix of the node ids (and the epoch shard maps'
@@ -762,7 +763,7 @@ class ClusterSimulator:
             state.active.append(core)
             state.shard_map = join["map"]
             state.router.update_shard_map(state.shard_map)
-            activated_at[node] = now
+            ledger.activate(node, now)
             cluster.scale_ups += 1
             cluster.handoff_overhead_s += join["warm_s"]
             event = ScaleEvent(
@@ -796,15 +797,12 @@ class ClusterSimulator:
                     )
             handed_back = core.drain()
             for query in handed_back:
-                reinjected.add(query.index)
-                loop.push(now, ARRIVAL, query)
+                ledger.reinject(query, now, loop)
             # The node stays powered until its dispatched batches finish.
             busy_until = max(
                 max(pool) for pool in core.timeline.free_at.values()
             )
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                max(now, busy_until) - activated_at.pop(node)
-            )
+            ledger.retire(node, max(now, busy_until))
             cluster.scale_downs += 1
             event = ScaleEvent(
                 time_s=now, ready_s=now, kind="down", node_id=node,
@@ -814,18 +812,10 @@ class ClusterSimulator:
             cluster.scale_events.append(event)
             controller.on_scale_complete(now, event)
 
-        def admit(query, now):
-            candidates = [c for c in state.active if c.alive and not c.full]
-            if not candidates or not coverage_ok:
-                reinjected.discard(query.index)
-                drop_query(sink, query, scenario.sla_for(query))
-                cluster.edge_drops += 1
-                return None
-            core = state.router.select_node(query, now, candidates)
-            if query.index in reinjected:
-                reinjected.discard(query.index)
-                cluster.rerouted += 1
-            return core
+        def admit(query, now, loop):
+            if coverage_ok:
+                return ledger.route(query, now, state)
+            return ledger.drop_at_edge(query)
 
         def on_fail(node, now, loop):
             nonlocal coverage_ok
@@ -834,8 +824,7 @@ class ClusterSimulator:
                 return
             state.active.remove(core)
             cluster.failed_nodes.append(node)
-            displaced, wasted = core.displace()
-            cluster.wasted_energy_j += wasted
+            displaced = ledger.displace(core, now)
             alive_ids = {c.node_id for c in state.active}
             coverage_ok = bool(alive_ids) and state.shard_map.coverage_ok(
                 alive_ids
@@ -844,15 +833,10 @@ class ClusterSimulator:
                 # Surviving replicas hold every shard: re-inject the
                 # displaced queries at the failure instant for re-routing.
                 for query in displaced:
-                    reinjected.add(query.index)
-                    loop.push(now, ARRIVAL, query)
+                    ledger.reinject(query, now, loop)
             else:
-                cluster.lost += len(displaced)
                 for query in displaced:
-                    drop_query(sink, query, scenario.sla_for(query))
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                now - activated_at.pop(node)
-            )
+                    ledger.lose(query)
 
         def on_control(kind, payload, now, loop):
             if isinstance(payload, int):
@@ -900,15 +884,7 @@ class ClusterSimulator:
             extra_events=tuple(extra_events), on_control=on_control,
         )
 
-        for node, since in activated_at.items():
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                end_s - since
-            )
-        for node, seconds in active_seconds.items():
-            cluster.node_seconds += seconds
-            cluster.idle_energy_j += seconds * _node_idle_w(cores[node])
-        if self.cache_config is not None:
-            cluster.cache = CacheStats()
+        ledger.close(end_s, cores)
         for core in cores:
             cluster.per_node_served[core.node_id] = core.served
             cluster.per_node_dropped[core.node_id] = core.shed
@@ -916,8 +892,6 @@ class ClusterSimulator:
                 cluster.switches += len(core.switcher.events)
                 cluster.switch_overhead_s += core.switcher.total_overhead_s
                 cluster.switch_events.extend(core.switcher.events)
-            if cluster.cache is not None and core.cache is not None:
-                cluster.cache.merge(core.cache.stats)
         cluster.switch_events.sort(key=lambda e: e.time_s)
         # A mid-run reroute changes the installed policy; report what the
         # fleet ended on, and ship the autopilot's decision trace.
@@ -993,12 +967,6 @@ class ClusterSimulator:
                 total += miss_penalty_s(affinity, hot_bytes, self.link)
             return total / shard_map.n_nodes
 
-        def set_router(name):
-            state.router = make_router(
-                name, shard_map=state.shard_map, link=self.link
-            )
-            state.router.reset()
-
         def predict_rewarm(core, label):
             warm_bytes, gain = core.cache.predict_warm(
                 label, _cached_groups(core.node_id, state.shard_map)
@@ -1037,7 +1005,7 @@ class ClusterSimulator:
             router_name=lambda: state.router.name,
             route_candidates=lambda: tuple(route_names),
             route_miss_s=route_miss_s,
-            set_router=set_router,
+            set_router=lambda name: state.install_router(name, self.link),
             predict_rewarm=predict_rewarm,
             rewarm=rewarm,
         )
@@ -1152,6 +1120,103 @@ class _RunState:
         self.active: list[EngineCore] = []
         self.router: Router | None = None
         self.pending_cache: dict[int, tuple] = {}
+
+    def install_router(self, spec: str | Router, link: LinkSpec) -> None:
+        """Route by ``spec`` (a name or instance) from here on, reset."""
+        self.router = make_router(spec, shard_map=self.shard_map, link=link)
+        self.router.reset()
+
+
+class FleetLedger:
+    """One run's fleet membership and failover bookkeeping.
+
+    The cluster and region tiers both drive it, and it writes the shared
+    counters straight into the run's result (``rerouted`` / ``lost`` /
+    ``edge_drops`` / ``wasted_energy_j``, and at :meth:`close` the
+    ``node_seconds`` / ``idle_energy_j`` / ``cache`` folds).  A displaced
+    or drained query is *re-injected* (pushed back as an arrival at the
+    failure instant) and counts as ``rerouted`` only once a surviving node
+    accepts it; refused at an edge it is an edge drop, and with no
+    replica left to serve it it is ``lost``.  Node-seconds accrue from a
+    node's activation until it is retired (or the run closes), summed in
+    retirement order.
+    """
+
+    __slots__ = ("result", "sink", "scenario", "reinjected", "activated_at",
+                 "active_seconds")
+
+    def __init__(self, result, sink, scenario, members) -> None:
+        self.result = result
+        self.sink = sink
+        self.scenario = scenario
+        self.reinjected: set[int] = set()
+        self.activated_at: dict[int, float] = {node: 0.0 for node in members}
+        self.active_seconds: dict[int, float] = {}
+
+    def route(self, query: Query, now: float, state: _RunState):
+        """The node ``state``'s router picks among its routable cores, or
+        None after dropping the query at the edge (none is routable)."""
+        candidates = [c for c in state.active if c.alive and not c.full]
+        if not candidates:
+            return self.drop_at_edge(query)
+        core = state.router.select_node(query, now, candidates)
+        if query.index in self.reinjected:
+            self.reinjected.discard(query.index)
+            self.result.rerouted += 1
+        return core
+
+    def drop_at_edge(self, query: Query) -> None:
+        """Shed one query at the edge (backpressure, coverage, dead home)."""
+        self.reinjected.discard(query.index)
+        drop_query(self.sink, query, self.scenario.sla_for(query))
+        self.result.edge_drops += 1
+
+    def lose(self, query: Query) -> None:
+        """Drop one displaced query no surviving replica can serve."""
+        self.reinjected.discard(query.index)
+        drop_query(self.sink, query, self.scenario.sla_for(query))
+        self.result.lost += 1
+
+    def reinject(self, query: Query, now: float, loop) -> None:
+        """Hand a displaced or drained query back for re-routing."""
+        self.reinjected.add(query.index)
+        loop.push(now, ARRIVAL, query)
+
+    def displace(self, core: EngineCore, now: float) -> list:
+        """Kill ``core``: tally its wasted energy, retire it at ``now``,
+        and return its displaced queries."""
+        displaced, wasted = core.displace()
+        self.result.wasted_energy_j += wasted
+        self.retire(core.node_id, now)
+        return displaced
+
+    def activate(self, node: int, now: float) -> None:
+        """Start ``node``'s active-seconds clock (a completed join)."""
+        self.activated_at[node] = now
+
+    def retire(self, node: int, at: float) -> None:
+        """Stop ``node``'s active-seconds clock at ``at``."""
+        self.active_seconds[node] = self.active_seconds.get(node, 0.0) + (
+            at - self.activated_at.pop(node)
+        )
+
+    def close(self, end_s: float, cores) -> None:
+        """Fold node-seconds, idle energy, and the fleet-merged cache
+        counters into the result; ``cores`` is indexed by node id."""
+        active_seconds = self.active_seconds
+        for node, since in self.activated_at.items():
+            active_seconds[node] = active_seconds.get(node, 0.0) + (
+                end_s - since
+            )
+        result = self.result
+        for node, seconds in active_seconds.items():
+            result.node_seconds += seconds
+            result.idle_energy_j += seconds * _node_idle_w(cores[node])
+        if any(core.cache is not None for core in cores):
+            result.cache = CacheStats()
+            for core in cores:
+                if core.cache is not None:
+                    result.cache.merge(core.cache.stats)
 
 
 def _cached_groups(node_id: int, shard_map: ShardMap) -> list[int]:

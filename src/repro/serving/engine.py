@@ -35,10 +35,13 @@ The kernel's vocabulary:
     a :class:`~repro.core.switching.SwitchController` may ride along to
     swap the device's resident representation between batches.
 :func:`run_kernel`
-    The shared driver: pops events and demultiplexes them onto the cores.
-    ``admit(query, now)`` decides which core (if any) receives an arrival
-    — the single-node façade always answers its only core, the cluster
-    answers through its router, backpressure, and coverage checks.
+    The one event-dispatch loop in the repo: pops events and
+    demultiplexes them onto the cores.  ``admit(query, now, loop)``
+    decides which core (if any) receives an arrival — the single-node
+    façade always answers its only core, the cluster answers through its
+    router, backpressure, and coverage checks, and the region tier may
+    instead push the arrival back onto ``loop`` (a WAN spill lands later
+    at another region).
 
 Outcome commit timing is the one real divergence between the façades:
 a failure-free single node records outcomes at *dispatch* (keeping the
@@ -613,10 +616,11 @@ class EngineCore:
 def run_kernel(cores, scenario, sink, admit, extra_events=(), on_control=None):
     """Drive engine cores off one shared event heap until it drains.
 
-    ``admit(query, now) -> EngineCore | None`` places each arrival (None
-    means the arrival was consumed at the edge — the admitter records the
-    drop itself). ``extra_events`` seeds façade-specific events (the
-    cluster's failure or forced scale operations); ``on_control(kind,
+    ``admit(query, now, loop) -> EngineCore | None`` places each arrival
+    (None means the admitter consumed it: dropped at the edge and
+    recorded, or re-pushed onto ``loop`` for later). ``extra_events``
+    seeds façade-specific events (the cluster's failure or forced scale
+    operations, the region tier's region failure); ``on_control(kind,
     payload, now, loop)`` handles any kind the kernel does not know.
     Returns the timestamp of the last event processed — the run's end
     time, which fleet accounting (node-seconds) needs.
@@ -630,7 +634,7 @@ def run_kernel(cores, scenario, sink, admit, extra_events=(), on_control=None):
     while loop:
         time, seq, kind, payload = loop.pop()
         if kind == ARRIVAL:
-            core = admit(payload, time)
+            core = admit(payload, time, loop)
             if core is not None:
                 core.enqueue(payload, time, loop, scenario, sink)
         elif kind == FLUSH:

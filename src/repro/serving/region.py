@@ -7,8 +7,13 @@ one diurnal clock.  This module adds the planet rung.  A
 :class:`~repro.serving.cluster.ClusterSimulator`s into named *regions*
 joined by WAN-class links (tens of milliseconds of propagation, metered
 per-byte cost — :mod:`repro.serving.wan`), and drives every region's
-cores off ONE shared event loop, so cross-region interactions are
-simulated exactly rather than stitched from independent runs.
+cores through the one kernel loop, :func:`~repro.serving.engine.
+run_kernel`, so cross-region interactions are simulated exactly rather
+than stitched from independent runs.  Geo routing is the kernel's
+``admit(query, now, loop)`` hook: a spill pushes the arrival back onto
+``loop`` at the WAN-delayed instant, and a local admission routes
+through the cluster tier's :class:`~repro.serving.cluster.FleetLedger`,
+which also keeps the failover and node-seconds accounting.
 
 Composition contract: each member cluster is built with a ``node_base``
 offset placing its nodes in a global id space (region i's nodes follow
@@ -74,20 +79,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.serving.cache import CacheConfig, NodeCache
-from repro.serving.cluster import ClusterSimulator, _node_idle_w, _RunState
+from repro.serving.cluster import ClusterSimulator, FleetLedger, _RunState
 from repro.serving.engine import (
     ARRIVAL,
     CONTROL,
-    FINISH,
-    FLUSH,
-    SWITCH,
-    EventLoop,
     RecordSink,
     StreamingSink,
-    drop_query,
+    run_kernel,
 )
 from repro.serving.metrics import CacheStats, ServingResult, StreamingMetrics
-from repro.serving.routing import make_router
 from repro.serving.wan import QUERY_WAN_BYTES, WanLink, resolve_wan_link
 from repro.serving.workload import ServingScenario
 
@@ -457,17 +457,7 @@ class RegionSimulator:
         region_cores: list[list] = []
         cores: list = []
         for name, cluster in self.regions:
-            state = _RunState(
-                cluster.shard_map,
-                list(range(cluster.node_base,
-                           cluster.node_base + len(cluster.schedulers))),
-            )
-            state.router = make_router(
-                cluster._router_spec,
-                shard_map=cluster.shard_map,
-                link=cluster.link,
-            )
-            state.router.reset()
+            state = cluster._run_state(len(cluster.schedulers))
             rcores = cluster._make_cores(state)
             state.active = list(rcores)
             rstates.append(state)
@@ -497,10 +487,8 @@ class RegionSimulator:
             per_region_dropped=[0] * n,
         )
         failed: set[int] = set()
-        reinjected: set[int] = set()
         assigned: dict[int, int] = {}  # index -> region it is in flight to
-        activated_at: dict[int, float] = {c.node_id: 0.0 for c in cores}
-        active_seconds: dict[int, float] = {}
+        ledger = FleetLedger(res, sink, scenario, range(len(cores)))
         rtt_est = self.wan.rtt_s(self.bytes_per_query)
         self.geo_router.reset()
 
@@ -533,22 +521,6 @@ class RegionSimulator:
             assigned[query.index] = target
             loop.push(now + delay, ARRIVAL, query)
 
-        def local_admit(query, now, region: int):
-            state = rstates[region]
-            candidates = [
-                c for c in state.active if c.alive and not c.full
-            ]
-            if not candidates:
-                reinjected.discard(query.index)
-                drop_query(sink, query, scenario.sla_for(query))
-                res.edge_drops += 1
-                return None
-            core = state.router.select_node(query, now, candidates)
-            if query.index in reinjected:
-                reinjected.discard(query.index)
-                res.rerouted += 1
-            return core
-
         def decide(query, now, loop):
             home = int(region_of[query.index])
             if home in failed:
@@ -567,13 +539,9 @@ class RegionSimulator:
                 # No surviving replica holds the home shards: the query
                 # is unservable.  Displaced work is *lost*; a fresh
                 # arrival to a dead unreplicated region is an edge drop.
-                if query.index in reinjected:
-                    reinjected.discard(query.index)
-                    res.lost += 1
-                else:
-                    res.edge_drops += 1
-                drop_query(sink, query, scenario.sla_for(query))
-                return None
+                if query.index in ledger.reinjected:
+                    return ledger.lose(query)
+                return ledger.drop_at_edge(query)
             waits = [wait_of(r, now) for r in range(n)]
             target = self.geo_router.select_region(
                 home, waits, rtt_est, scenario.sla_for(query)
@@ -585,7 +553,7 @@ class RegionSimulator:
                 res.wan_fill_bytes += fill
                 forward(query, target, now, loop, fill)
                 return None
-            return local_admit(query, now, home)
+            return ledger.route(query, now, rstates[home])
 
         def admit(query, now, loop):
             target = assigned.pop(query.index, None)
@@ -595,7 +563,7 @@ class RegionSimulator:
                 # Died while the query was on the wire: decide again
                 # from home (possibly another hop, metered again).
                 return decide(query, now, loop)
-            return local_admit(query, now, target)
+            return ledger.route(query, now, rstates[target])
 
         def on_region_fail(region: int, now: float, loop) -> None:
             if region in failed:
@@ -603,16 +571,9 @@ class RegionSimulator:
             failed.add(region)
             res.failed_regions.append(region)
             state = rstates[region]
-            for core in list(state.active):
-                displaced, wasted = core.displace()
-                res.wasted_energy_j += wasted
-                for query in displaced:
-                    reinjected.add(query.index)
-                    loop.push(now, ARRIVAL, query)
-                node = core.node_id
-                active_seconds[node] = active_seconds.get(node, 0.0) + (
-                    now - activated_at.pop(node)
-                )
+            for core in state.active:
+                for query in ledger.displace(core, now):
+                    ledger.reinject(query, now, loop)
             state.active = []
 
         def on_control(kind, payload, now, loop):
@@ -626,48 +587,15 @@ class RegionSimulator:
                 (self.fail_at, CONTROL, ("region-fail", self.fail_region))
             )
 
-        # The kernel loop, inlined from engine.run_kernel: geo admission
-        # needs the loop handle (spills re-push delayed arrivals), which
-        # the engine's admit contract does not pass.
-        loop = EventLoop()
-        loop.seed_arrivals(scenario.queries)
-        for time_s, kind, payload in extra_events:
-            loop.push(time_s, kind, payload)
-        end_s = 0.0
-        while loop:
-            end_s, seq, kind, payload = loop.pop()
-            if kind == ARRIVAL:
-                core = admit(payload, end_s, loop)
-                if core is not None:
-                    core.enqueue(payload, end_s, loop, scenario, sink)
-            elif kind == FLUSH:
-                node_id, generation = payload
-                cores[node_id].on_flush(
-                    generation, end_s, loop, scenario, sink
-                )
-            elif kind == FINISH:
-                cores[payload].on_finish(seq, sink)
-            elif kind == SWITCH:
-                node_id, device = payload
-                cores[node_id].on_switch_complete(device, end_s)
-            else:
-                on_control(kind, payload, end_s, loop)
-
-        for node, since in activated_at.items():
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                end_s - since
-            )
-        for node, seconds in active_seconds.items():
-            res.node_seconds += seconds
-            res.idle_energy_j += seconds * _node_idle_w(cores[node])
-        if any(c.cache_config is not None for _, c in self.regions):
-            res.cache = CacheStats()
+        end_s = run_kernel(
+            cores, scenario, sink, admit,
+            extra_events=tuple(extra_events), on_control=on_control,
+        )
+        ledger.close(end_s, cores)
         for region, rcores in enumerate(region_cores):
             for core in rcores:
                 res.per_region_served[region] += core.served
                 res.per_region_dropped[region] += core.shed
-                if res.cache is not None and core.cache is not None:
-                    res.cache.merge(core.cache.stats)
         if wan_caches is not None:
             res.region_cache = CacheStats()
             for cache in wan_caches:
