@@ -154,11 +154,23 @@ class ServingResult:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        return sum(r.correct_samples for r in self.records) / span
+        return _weighted(self._samples_by_accuracy()) / 100.0 / span
 
     def _sla_of(self, record: QueryRecord) -> float:
         """The SLA target governing one record (per-tenant aware)."""
         return self.sla_s if record.sla_s is None else record.sla_s
+
+    def _samples_by_accuracy(self, compliant: bool = False) -> Counter:
+        """Served samples per accuracy value (only SLA-compliant ones
+        when ``compliant``): the exact form :class:`StreamingMetrics`
+        keeps, so both modes read the same correct-prediction floats."""
+        counts: Counter[float] = Counter()
+        for r in self.records:
+            if not r.dropped and not (
+                compliant and r.latency_s > self._sla_of(r)
+            ):
+                counts[r.accuracy] += r.size
+        return counts
 
     @property
     def compliant_correct_throughput(self) -> float:
@@ -169,12 +181,8 @@ class ServingResult:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        compliant = sum(
-            r.correct_samples
-            for r in self.records
-            if r.latency_s <= self._sla_of(r)
-        )
-        return compliant / span
+        compliant = self._samples_by_accuracy(compliant=True)
+        return _weighted(compliant) / 100.0 / span
 
     @property
     def achieved_qps(self) -> float:
@@ -206,7 +214,7 @@ class ServingResult:
         total = self.total_samples
         if total == 0:
             return 0.0
-        return sum(r.accuracy * r.size for r in self.records) / total
+        return _weighted(self._samples_by_accuracy()) / total
 
     @property
     def total_energy_j(self) -> float:
@@ -505,6 +513,13 @@ class StreamingMetrics:
     estimators; arbitrary ``latency_percentile(q)`` queries fall back to a
     uniform reservoir over served latencies. Memory is O(reservoir), not
     O(queries).
+
+    The accuracy-weighted sums (correct predictions, SLA-compliant
+    correct predictions, mean accuracy) are kept as integer sample
+    counts keyed by accuracy and summed at read time over the sorted
+    keys, so they are exact and independent of ingestion order: any
+    mix of :meth:`observe` and :meth:`observe_many` over the same
+    outcomes reads the same floats.
     """
 
     PERCENTILES = (50.0, 95.0, 99.0)
@@ -522,9 +537,9 @@ class StreamingMetrics:
         self.n_dropped = 0
         self.n_violations = 0
         self.total_samples = 0
-        self._correct_sum = 0.0
-        self._compliant_correct_sum = 0.0
-        self._accuracy_weighted_sum = 0.0
+        # accuracy -> served samples / SLA-compliant served samples.
+        self._served_by_accuracy: Counter[float] = Counter()
+        self._compliant_by_accuracy: Counter[float] = Counter()
         self._energy_sum = 0.0
         self._max_finish = 0.0
         self._path_counts: Counter[str] = Counter()
@@ -557,14 +572,12 @@ class StreamingMetrics:
             return
         self.total_samples += size
         latency = finish_s - arrival_s
-        correct = size * accuracy / 100.0
-        self._correct_sum += correct
-        self._accuracy_weighted_sum += accuracy * size
+        self._served_by_accuracy[accuracy] += size
         self._energy_sum += energy_j
         if latency > sla:
             self.n_violations += 1
         else:
-            self._compliant_correct_sum += correct
+            self._compliant_by_accuracy[accuracy] += size
         for estimator in self._estimators.values():
             estimator.observe(latency)
         self._reservoir.observe(latency)
@@ -591,10 +604,12 @@ class StreamingMetrics:
         target. ``dropped`` marks the whole chunk as shed.
 
         Counter metrics (throughput, violation/drop rates, breakdowns)
-        are exactly the per-sample values; the reservoir consumes its
-        uniforms bit-identically; summed floats and P² percentile
-        estimates agree to accumulation order / estimator accuracy —
-        pinned in ``tests/property/test_prop_engine_parity.py``.
+        and the accuracy-weighted sums (correct-prediction throughputs,
+        mean accuracy) are exactly the per-sample values; the reservoir
+        consumes its uniforms bit-identically.  The energy total is a
+        float sum, equal only up to accumulation order, and P²
+        percentile estimates agree to estimator accuracy — pinned in
+        ``tests/property/test_prop_engine_parity.py``.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         m = int(sizes.size)
@@ -621,9 +636,7 @@ class StreamingMetrics:
         )
         self.total_samples += int(sizes.sum())
         latency = finishes - arrivals
-        correct = sizes * accuracy / 100.0
-        self._correct_sum += float(correct.sum())
-        self._accuracy_weighted_sum += float((accuracy * sizes).sum())
+        _tally(self._served_by_accuracy, accuracy, sizes)
         if np.ndim(energies):
             self._energy_sum += float(
                 np.asarray(energies, dtype=np.float64).sum()
@@ -632,7 +645,9 @@ class StreamingMetrics:
             self._energy_sum += float(energies) * m
         violated = latency > sla
         self.n_violations += int(violated.sum())
-        self._compliant_correct_sum += float(correct[~violated].sum())
+        _tally(
+            self._compliant_by_accuracy, accuracy[~violated], sizes[~violated]
+        )
         if m < P2Quantile._CHUNK_MIN:
             # Small folds replay the per-sample estimators (bit-equal to
             # a plain observe() loop), mirroring P2Quantile.observe_many.
@@ -674,13 +689,15 @@ class StreamingMetrics:
     def correct_prediction_throughput(self) -> float:
         """QPS x QuerySize x Accuracy, aggregated (Section 5.4)."""
         span = self.makespan_s
-        return self._correct_sum / span if span > 0 else 0.0
+        correct = _weighted(self._served_by_accuracy) / 100.0
+        return correct / span if span > 0 else 0.0
 
     @property
     def compliant_correct_throughput(self) -> float:
         """Correct predictions per second over SLA-compliant queries only."""
         span = self.makespan_s
-        return self._compliant_correct_sum / span if span > 0 else 0.0
+        correct = _weighted(self._compliant_by_accuracy) / 100.0
+        return correct / span if span > 0 else 0.0
 
     @property
     def achieved_qps(self) -> float:
@@ -703,7 +720,7 @@ class StreamingMetrics:
         """Sample-weighted accuracy of served predictions (percent)."""
         if self.total_samples == 0:
             return 0.0
-        return self._accuracy_weighted_sum / self.total_samples
+        return _weighted(self._served_by_accuracy) / self.total_samples
 
     @property
     def total_energy_j(self) -> float:
@@ -756,3 +773,18 @@ class StreamingMetrics:
             "p99_latency_ms": self.p99_latency_s * 1e3,
             "energy_j": self.total_energy_j,
         }
+
+
+def _tally(counts: Counter, accuracy: np.ndarray, sizes: np.ndarray) -> None:
+    """Add each accuracy value's sample count (parallel arrays)."""
+    if sizes.size and (accuracy == accuracy[0]).all():
+        counts[float(accuracy[0])] += int(sizes.sum())  # one shared path
+        return
+    keys, inverse = np.unique(accuracy, return_inverse=True)
+    totals = np.bincount(inverse, weights=sizes, minlength=keys.size)
+    counts.update(dict(zip(keys.tolist(), totals.astype(np.int64).tolist())))
+
+
+def _weighted(counts: Counter) -> float:
+    """Sum of accuracy x samples, in key order: one float per multiset."""
+    return sum(accuracy * n for accuracy, n in sorted(counts.items()))

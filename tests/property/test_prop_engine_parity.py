@@ -26,7 +26,7 @@ every shed policy, batching on and off, single- and multi-tenant:
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tests.property.budget import prop_settings
 
@@ -272,6 +272,10 @@ def test_fastpath_matches_kernel_record_for_record(
 @prop_settings(25)
 @given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
        batch=batches, tenants=st.booleans())
+# Nine size-1 queries at one instant: per-query float sums and numpy's
+# pairwise sum once disagreed in mean_accuracy's last digit here.
+@example(gaps=[0.0] * 9, sizes=[1] * 9, sla=0.01, policy="none", batch=1,
+         tenants=False)
 def test_fastpath_streaming_counters_match_kernel(
     gaps, sizes, sla, policy, batch, tenants
 ):
