@@ -16,6 +16,8 @@ every shed policy, batching on and off, single- and multi-tenant:
   controller never fires (the elastic plumbing is a strict no-op), and
   the **zero-loss drain invariant**: a fleet forced through a
   2 -> 4 -> 2 membership cycle accounts every query exactly once;
+- the **failover invariant**: a node failure at any instant accounts
+  every query exactly once, and replication 2 loses nothing;
 - **fast path == kernel**, record for record, across every supported
   scheduler, shed policy, batch size, and tenancy (the array engine of
   :mod:`repro.serving.fastpath` replays the kernel's decision rules
@@ -219,6 +221,45 @@ def test_scale_2_4_2_accounts_every_query_exactly_once(
     assert sorted(r.index for r in result.result.records) == (
         [q.index for q in scenario.queries]
     )
+
+
+@prop_settings(30)
+@given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
+       batch=batches, sched_kind=schedulers,
+       router=st.sampled_from(["round-robin", "least-loaded", "locality"]),
+       replication=st.sampled_from([1, 2]),
+       fail_frac=st.floats(min_value=0.0, max_value=1.0),
+       fail_node=st.integers(min_value=0, max_value=2))
+def test_node_failover_accounts_every_query_exactly_once(
+    gaps, sizes, sla, policy, batch, sched_kind, router, replication,
+    fail_frac, fail_node,
+):
+    """A node failure at any instant neither loses nor duplicates a
+    query record, every drop is exactly one of shed / lost / edge drop,
+    and replication 2 loses nothing."""
+    scenario = build_scenario(gaps, sizes, sla)
+    horizon = scenario.queries.queries[-1].arrival_s or 1e-3
+    plan = greedy_shard([1000, 2000, 500], 16, 3)
+    cluster = ClusterSimulator(
+        build_scheduler(sched_kind), plan, router=router,
+        replication=replication, shed_policy=policy, max_batch_size=batch,
+        batch_timeout_s=0.001, fail_at=horizon * fail_frac,
+        fail_node=fail_node,
+    )
+    result = cluster.run(scenario)
+    records = result.result.records
+    assert sorted(r.index for r in records) == (
+        [q.index for q in scenario.queries]
+    )
+    assert result.failed_nodes == [fail_node]
+    served = sum(1 for r in records if not r.dropped)
+    assert served == sum(result.per_node_served)
+    assert len(records) == (
+        served + sum(result.per_node_dropped) + result.lost
+        + result.edge_drops
+    )
+    if replication == 2:
+        assert result.lost == 0 and result.edge_drops == 0
 
 
 @prop_settings(30)

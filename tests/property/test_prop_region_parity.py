@@ -44,21 +44,24 @@ def two_node_cluster(scheduler, node_base=0, **kwargs):
 @prop_settings(30)
 @given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
        batch=batches, sched_kind=schedulers, router=routers,
-       geo_router=geo_routers, tenants=st.booleans())
+       geo_router=geo_routers, tenants=st.booleans(),
+       max_queue=st.sampled_from([0, 2]))
 def test_one_region_matches_cluster_record_for_record(
-    gaps, sizes, sla, policy, batch, sched_kind, router, geo_router, tenants
+    gaps, sizes, sla, policy, batch, sched_kind, router, geo_router, tenants,
+    max_queue,
 ):
     """A 1-region fleet is the cluster: same records, same accounting —
     whichever geo router is installed (one region leaves it no choice)."""
     scenario = build_scenario(gaps, sizes, sla, tenants=tenants)
     kwargs = dict(
         router=router, shed_policy=policy, max_batch_size=batch,
-        batch_timeout_s=0.001,
+        batch_timeout_s=0.001, max_queue=max_queue,
     )
     cluster = two_node_cluster(build_scheduler(sched_kind), **kwargs)
     member = two_node_cluster(build_scheduler(sched_kind), **kwargs)
     geo = RegionSimulator([("solo", member)], geo_router=geo_router)
-    expected = sorted_records(cluster.run(scenario).result)
+    fleet = cluster.run(scenario)
+    expected = sorted_records(fleet.result)
     result = geo.run(scenario, [0] * len(scenario.queries))
     got = sorted_records(result.result)
     assert got == expected
@@ -67,6 +70,10 @@ def test_one_region_matches_cluster_record_for_record(
     assert result.per_region_served[0] == sum(
         1 for r in got if not r.dropped
     )
+    # The same fleet ledger, to the last float.
+    for counter in ("rerouted", "lost", "edge_drops", "wasted_energy_j",
+                    "node_seconds", "idle_energy_j"):
+        assert getattr(result, counter) == getattr(fleet, counter), counter
 
 
 @prop_settings(30)
