@@ -278,17 +278,10 @@ class Batcher:
         return len(self.pending) >= self.max_batch_size
 
     def take(self) -> list:
-        """Claim the pending batch for dispatch and invalidate its timer."""
-        batch = self.pending
-        self.pending = []
-        self.generation += 1
-        self.armed = False
-        return batch
-
-    def clear(self) -> list:
-        """Drop the pending queries without dispatching (node failure or
-        drain); the generation bump invalidates any armed flush timer so
-        a later revival of the core cannot be flushed by a stale timer."""
+        """Claim the pending queries — for dispatch, or handed back by a
+        node failure or drain — and invalidate the armed flush timer (the
+        generation bump also keeps a later revival of the core from being
+        flushed by a stale timer)."""
         batch = self.pending
         self.pending = []
         self.generation += 1
@@ -584,7 +577,7 @@ class EngineCore:
 
     def displace(self) -> tuple[list, float]:
         """Kill the node: return its displaced queries and wasted energy."""
-        displaced = self.batcher.clear()
+        displaced = self.batcher.take()
         wasted = 0.0
         for batch in self.in_flight.values():
             displaced.extend(batch.queries)
@@ -599,7 +592,7 @@ class EngineCore:
         back the queued-but-undispatched queries for re-routing, and let
         already-dispatched batches run to completion — unlike
         :meth:`displace`, no committed work (or energy) is wasted."""
-        pending = self.batcher.clear()
+        pending = self.batcher.take()
         self.inflight_queries -= len(pending)
         self.alive = False
         return pending

@@ -120,8 +120,48 @@ class QueryRecord:
         return self.size * self.accuracy / 100.0
 
 
+class _MetricVocabulary:
+    """The accessors both aggregation modes derive the same way from
+    their own ``makespan_s`` / ``total_samples`` / ``latency_percentile``
+    and headline metrics."""
+
+    @property
+    def raw_throughput(self) -> float:
+        """Samples served per second."""
+        span = self.makespan_s
+        return self.total_samples / span if span > 0 else 0.0
+
+    @property
+    def p50_latency_s(self) -> float:
+        """Median served latency, in seconds."""
+        return self.latency_percentile(50)
+
+    @property
+    def p95_latency_s(self) -> float:
+        """95th-percentile served latency, in seconds."""
+        return self.latency_percentile(95)
+
+    @property
+    def p99_latency_s(self) -> float:
+        """99th-percentile served latency, in seconds."""
+        return self.latency_percentile(99)
+
+    def summary(self) -> dict[str, float]:
+        """The headline metric vocabulary as one printable dict."""
+        return {
+            "correct_tput": self.correct_prediction_throughput,
+            "raw_tput": self.raw_throughput,
+            "qps": self.achieved_qps,
+            "accuracy": self.mean_accuracy,
+            "violation_rate": self.violation_rate,
+            "drop_rate": self.drop_rate,
+            "p99_latency_ms": self.p99_latency_s * 1e3,
+            "energy_j": self.total_energy_j,
+        }
+
+
 @dataclass
-class ServingResult:
+class ServingResult(_MetricVocabulary):
     """Aggregated outcome of one simulated serving run."""
 
     scheduler_name: str
@@ -141,12 +181,6 @@ class ServingResult:
     def total_samples(self) -> int:
         """Samples actually served (dropped queries were never answered)."""
         return sum(r.size for r in self.records if not r.dropped)
-
-    @property
-    def raw_throughput(self) -> float:
-        """Samples served per second."""
-        span = self.makespan_s
-        return self.total_samples / span if span > 0 else 0.0
 
     @property
     def correct_prediction_throughput(self) -> float:
@@ -231,39 +265,11 @@ class ServingResult:
             return 0.0
         return float(np.percentile(served, q))
 
-    @property
-    def p50_latency_s(self) -> float:
-        """Median served latency, in seconds."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency_s(self) -> float:
-        """95th-percentile served latency, in seconds."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency_s(self) -> float:
-        """99th-percentile served latency, in seconds."""
-        return self.latency_percentile(99)
-
     def switching_breakdown(self) -> dict[str, float]:
         """Fraction of queries served by each path (Figure 15)."""
         counts = Counter(r.path_label for r in self.records)
         total = len(self.records)
         return {label: count / total for label, count in sorted(counts.items())}
-
-    def summary(self) -> dict[str, float]:
-        """The headline metric vocabulary as one printable dict."""
-        return {
-            "correct_tput": self.correct_prediction_throughput,
-            "raw_tput": self.raw_throughput,
-            "qps": self.achieved_qps,
-            "accuracy": self.mean_accuracy,
-            "violation_rate": self.violation_rate,
-            "drop_rate": self.drop_rate,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "energy_j": self.total_energy_j,
-        }
 
 
 class P2Quantile:
@@ -505,7 +511,7 @@ class ReservoirSampler:
         return float(np.percentile(self._sample, q))
 
 
-class StreamingMetrics:
+class StreamingMetrics(_MetricVocabulary):
     """Record-free aggregation with the :class:`ServingResult` vocabulary.
 
     ``observe`` ingests one query outcome; every paper metric is then
@@ -680,12 +686,6 @@ class StreamingMetrics:
         return self._max_finish
 
     @property
-    def raw_throughput(self) -> float:
-        """Samples served per second."""
-        span = self.makespan_s
-        return self.total_samples / span if span > 0 else 0.0
-
-    @property
     def correct_prediction_throughput(self) -> float:
         """QPS x QuerySize x Accuracy, aggregated (Section 5.4)."""
         span = self.makespan_s
@@ -737,21 +737,6 @@ class StreamingMetrics:
             return estimator.value
         return self._reservoir.percentile(q)
 
-    @property
-    def p50_latency_s(self) -> float:
-        """Median served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency_s(self) -> float:
-        """95th-percentile served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency_s(self) -> float:
-        """99th-percentile served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(99)
-
     def switching_breakdown(self) -> dict[str, float]:
         """Fraction of queries served by each path (Figure 15)."""
         if not self.n:
@@ -759,19 +744,6 @@ class StreamingMetrics:
         return {
             label: count / self.n
             for label, count in sorted(self._path_counts.items())
-        }
-
-    def summary(self) -> dict[str, float]:
-        """The headline metric vocabulary as one printable dict."""
-        return {
-            "correct_tput": self.correct_prediction_throughput,
-            "raw_tput": self.raw_throughput,
-            "qps": self.achieved_qps,
-            "accuracy": self.mean_accuracy,
-            "violation_rate": self.violation_rate,
-            "drop_rate": self.drop_rate,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "energy_j": self.total_energy_j,
         }
 
 
