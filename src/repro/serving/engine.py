@@ -38,10 +38,11 @@ The kernel's vocabulary:
     The one event-dispatch loop in the repo: pops events and
     demultiplexes them onto the cores.  ``admit(query, now, loop)``
     decides which core (if any) receives an arrival — the single-node
-    façade always answers its only core, the cluster answers through its
-    router, backpressure, and coverage checks, and the region tier may
-    instead push the arrival back onto ``loop`` (a WAN spill lands later
-    at another region).
+    façade always answers its only core; the cluster and region tiers
+    answer through the router, backpressure, and failover bookkeeping of
+    their shared :class:`~repro.serving.cluster.FleetLedger`, and the
+    region tier may instead push the arrival back onto ``loop`` (a WAN
+    spill lands later at another region).
 
 Outcome commit timing is the one real divergence between the façades:
 a failure-free single node records outcomes at *dispatch* (keeping the
