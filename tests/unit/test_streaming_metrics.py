@@ -248,6 +248,37 @@ class TestObserveMany:
             one.mean_accuracy, rel=1e-12
         )
 
+    def test_accuracy_sums_exact_in_any_order(self, rng):
+        """Mixed per-query accuracies folded per observe, in reversed
+        chunks, or all at once read the same correct-prediction floats
+        as the record-backed result."""
+        sizes, arrivals, finishes, _, slas = self._streams(rng)
+        accs = rng.choice([78.79, 78.93, 79.01, 80.1], size=sizes.size)
+        one = StreamingMetrics("t", sla_s=0.010)
+        for i in range(sizes.size):
+            one.observe(int(sizes[i]), float(arrivals[i]), 0.0,
+                        float(finishes[i]), "P", float(accs[i]),
+                        sla_s=float(slas[i]))
+        chunked = StreamingMetrics("t", sla_s=0.010)
+        for part in reversed(np.array_split(np.arange(sizes.size), 7)):
+            chunked.observe_many(sizes[part], arrivals[part], None,
+                                 finishes[part], "P", accs[part],
+                                 slas=slas[part])
+        bulk = StreamingMetrics("t", sla_s=0.010)
+        bulk.observe_many(sizes, arrivals, None, finishes, "P", accs,
+                          slas=slas)
+        exact = ServingResult("t", 0.010, records=[
+            QueryRecord(index=i, size=int(sizes[i]),
+                        arrival_s=float(arrivals[i]), start_s=0.0,
+                        finish_s=float(finishes[i]), path_label="P",
+                        accuracy=float(accs[i]), sla_s=float(slas[i]))
+            for i in range(sizes.size)
+        ])
+        for folded in (chunked, bulk, exact):
+            for metric in ("correct_prediction_throughput",
+                           "compliant_correct_throughput", "mean_accuracy"):
+                assert getattr(folded, metric) == getattr(one, metric)
+
     def test_reservoir_stream_is_bit_identical(self, rng):
         sizes, arrivals, finishes, _, _ = self._streams(rng)
         one = StreamingMetrics("t", sla_s=0.010)
