@@ -29,6 +29,10 @@ ID_BYTES = 8
 # this fraction of gather time is exposed.
 _TPU_EMBEDDING_EXPOSED = 0.30
 
+# MLP GEMMs with fewer rows than this underfill the device and run at the
+# ``small_gemm_factor`` derating.
+_FULL_GEMM_ROWS = 64
+
 
 @dataclass
 class OperatorBreakdown:
@@ -301,11 +305,17 @@ def _gemm_time(
 
 
 def _mlp_time(device: DeviceSpec, sizes: list[int], batch_size: int) -> float:
-    flops = sum(2 * batch_size * sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1))
+    row_flops = sum(2 * sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1))
     weight_bytes = sum(
         (sizes[i] * sizes[i + 1] + sizes[i + 1]) * FP32 for i in range(len(sizes) - 1)
     )
-    return _gemm_time(device, flops, weight_bytes, small=batch_size < 64)
+    full = _gemm_time(device, row_flops * max(batch_size, _FULL_GEMM_ROWS), weight_bytes)
+    if batch_size >= _FULL_GEMM_ROWS:
+        return full
+    # A derated small batch never costs more than padding it to a full GEMM,
+    # which keeps MLP time non-decreasing in batch across the threshold.
+    small = _gemm_time(device, row_flops * batch_size, weight_bytes, small=True)
+    return min(small, full)
 
 
 def _gather_time(
